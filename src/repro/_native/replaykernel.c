@@ -20,6 +20,10 @@
  *    checks on MSHR entries use a monotone serial number in place of
  *    CPython object identity.
  *
+ *  - Floating-point contraction is off: `a * b + c` must round twice,
+ *    as the interpreter does, never once through a fused multiply-add
+ *    (the tournament's score decay and AWRP's rank are such sums).
+ *
  * The kernel consumes PackedTrace columns through the buffer protocol
  * (array.array or numpy arrays both work) and returns every counter
  * plus the full end-of-run machine state for the Python wrapper
@@ -28,6 +32,12 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 #include <math.h>
 #include <stdint.h>
@@ -237,10 +247,11 @@ typedef struct {
     int64_t serial;
     int64_t fill_seq;
     int32_t set_index;
-    /* deferred PSEL/ATD update: 0 none, 1 sbar decrement, 2 cbs */
+    /* deferred PSEL/ATD update: 0 none, 1 sbar decrement, 2 cbs,
+     * 3 tournament charge */
     uint8_t pend_kind;
     int8_t pend_psel_op; /* cbs: 0 none, 1 increment, 2 decrement */
-    int32_t pend_psel_idx;
+    int32_t pend_psel_idx; /* cbs psel index; tournament owner */
     int32_t pend_fill_set; /* cbs ATD-LIN fill to patch, -1 = none */
     int64_t pend_fill_seq;
 } MEntry;
@@ -523,6 +534,20 @@ tags_insert_mru(Way *w, int32_t *len, Way v)
     *len += 1;
 }
 
+/* CacheSet.insert_at: positions at or past the fill level append. */
+static inline void
+tags_insert_at(Way *w, int32_t *len, int32_t pos, Way v)
+{
+    if (pos >= *len) {
+        w[*len] = v;
+    }
+    else {
+        memmove(w + pos + 1, w + pos, (size_t)(*len - pos) * sizeof(Way));
+        w[pos] = v;
+    }
+    *len += 1;
+}
+
 static inline Way
 tags_evict(Way *w, int32_t *len, int32_t pos)
 {
@@ -625,8 +650,34 @@ ivpool_free(IvPool *p)
 /* Kernel state                                                      */
 /* ---------------------------------------------------------------- */
 
-enum { POL_LRU = 0, POL_LIN = 1, POL_EHC = 2, POL_AWRP = 3 };
-enum { CTRL_NONE = 0, CTRL_SBAR = 1, CTRL_CBS = 2 };
+enum {
+    POL_LRU = 0,
+    POL_LIN = 1,
+    POL_EHC = 2,
+    POL_AWRP = 3,
+    POL_LIP = 4,
+    POL_BIP = 5,
+    POL_PLRU = 6,
+    POL_COST_PLRU = 7
+};
+enum {
+    CTRL_NONE = 0,
+    CTRL_SBAR = 1,
+    CTRL_CBS = 2,
+    CTRL_DIP = 3,
+    CTRL_TOURNAMENT = 4
+};
+
+/* One replacement-policy instance the L2 can dispatch to: the fixed
+ * policy (slot 0), DIP's LRU and BIP (slots 0 and 1), or each distinct
+ * tournament candidate.  `fills` is BIPPolicy._fills, so candidates
+ * sharing one Python instance share one slot and one counter. */
+typedef struct {
+    int64_t kind;
+    int64_t lam;    /* LIN lambda */
+    int64_t period; /* BIP: every period-th fill inserts at MRU */
+    int64_t fills;  /* BIP fill counter */
+} PolSlot;
 
 typedef struct {
     /* trace */
@@ -693,7 +744,6 @@ typedef struct {
     Map delta_last; /* block -> cost (b) */
 
     /* policy */
-    int64_t policy_kind;
     int64_t lin_lam;
     int64_t ehc_horizon, ehc_pending, never;
     Map ehc_last;      /* block -> last seq (a) */
@@ -702,10 +752,19 @@ typedef struct {
     double awrp_weight;
     int64_t awrp_fills;
     Map awrp_counts; /* block -> count (a) */
+    PolSlot *slots;
+    Py_ssize_t n_slots;
+    /* tree-PLRU: assoc - 1 direction bits per L2 set, plus whether the
+     * Python policy would have built that set's tree yet */
+    uint8_t *plru_bits;
+    uint8_t *plru_live;
+    int64_t plru_threshold, plru_rejects;
 
     /* controller */
     int64_t controller_kind;
-    const uint8_t *leaders; /* sbar: 1 byte per l2 set */
+    /* 1 byte per l2 set: sbar 1 = leader; dip 1 = LRU leader, 2 = BIP
+     * leader; tournament owner + 1; 0 = follower */
+    const uint8_t *leaders;
     int64_t atd_assoc;
     Tags atd_lru, atd_lin; /* sbar uses atd_lru only */
     int64_t atd_seq, atd_accesses, atd_hits, atd_misses;
@@ -715,6 +774,11 @@ typedef struct {
     int64_t *psel_val, *psel_incs, *psel_decs;
     int64_t psel_max, psel_msb;
     int64_t deferred, follower_lin, follower_lru;
+    /* tournament */
+    Py_ssize_t n_cands;
+    int64_t *cand_slot;
+    double *t_scores, *t_accesses;
+    double t_decay;
 
     int oom;
 } Sim;
@@ -854,6 +918,90 @@ ehc_note(Sim *s, int64_t block, int64_t seq)
     s->ehc_pending = seq + ivpool_mean_floor(&s->ehc_pool, idx);
 }
 
+/* _TreeState.touch: point every bit on the way's path away from it. */
+static void
+plru_touch(uint8_t *bits, int64_t n_ways, int64_t way)
+{
+    int64_t node = 0, low = 0, high = n_ways;
+    while (high - low > 1) {
+        int64_t mid = (low + high) / 2;
+        if (way < mid) {
+            bits[node] = 1;
+            node = 2 * node + 1;
+            high = mid;
+        }
+        else {
+            bits[node] = 0;
+            node = 2 * node + 2;
+            low = mid;
+        }
+    }
+}
+
+/* _TreeState.victim: follow the bits from the root. */
+static int64_t
+plru_victim(const uint8_t *bits, int64_t n_ways)
+{
+    int64_t node = 0, low = 0, high = n_ways;
+    while (high - low > 1) {
+        int64_t mid = (low + high) / 2;
+        if (bits[node] == 0) {
+            node = 2 * node + 1;
+            high = mid;
+        }
+        else {
+            node = 2 * node + 2;
+            low = mid;
+        }
+    }
+    return low;
+}
+
+/* TreePLRUPolicy.choose_victim, plus CostAwareTreePLRUPolicy's reject
+ * loop (re-point the tree past a protected way, up to the budget). */
+static int64_t
+plru_choose(Sim *s, int64_t set_index, const Way *w, int cost_aware)
+{
+    int64_t n_ways = s->l2.assoc;
+    uint8_t *bits = s->plru_bits + set_index * (n_ways - 1);
+    int64_t victim = plru_victim(bits, n_ways);
+    if (cost_aware) {
+        for (int64_t i = 0; i < s->plru_rejects; i++) {
+            if (w[victim].cost_q < s->plru_threshold) {
+                break;
+            }
+            plru_touch(bits, n_ways, victim);
+            victim = plru_victim(bits, n_ways);
+        }
+    }
+    return victim;
+}
+
+/* TournamentController.winner: lowest normalized score, first on ties
+ * (min() over the rates list). */
+static int64_t
+tournament_winner(const Sim *s)
+{
+    int64_t best = 0;
+    double best_rate = s->t_scores[0] / s->t_accesses[0];
+    for (Py_ssize_t i = 1; i < s->n_cands; i++) {
+        double rate = s->t_scores[i] / s->t_accesses[i];
+        if (rate < best_rate) {
+            best_rate = rate;
+            best = i;
+        }
+    }
+    return best;
+}
+
+/* The decay half of TournamentController.observe_access. */
+static void
+tournament_decay(Sim *s, int64_t owner)
+{
+    s->t_scores[owner] *= s->t_decay;
+    s->t_accesses[owner] = s->t_accesses[owner] * s->t_decay + 1.0;
+}
+
 /* PSEL saturating updates (PolicySelector.increment/decrement) */
 
 static void
@@ -902,6 +1050,11 @@ apply_pending(Sim *s, const MEntry *e, int64_t amount)
         else if (e->pend_psel_op == 2) {
             psel_decrement(s, e->pend_psel_idx, amount);
         }
+    }
+    else if (e->pend_kind == 3) {
+        /* the tournament's `charge`: +1 keeps zero-cost misses from
+         * being free */
+        s->t_scores[e->pend_psel_idx] += 1.0 + (double)amount;
     }
 }
 
@@ -1242,8 +1395,30 @@ run_loop(Sim *s)
         int pol;
         int is_leader = 0;
         Py_ssize_t psel_idx = 0;
+        PolSlot *ps = s->slots; /* the dispatched instance (not SBAR/CBS) */
+        int64_t lam = s->lin_lam;
         if (s->controller_kind == CTRL_NONE) {
-            pol = (int)s->policy_kind;
+            pol = (int)ps->kind;
+            lam = ps->lam;
+        }
+        else if (s->controller_kind == CTRL_DIP) {
+            /* DIPController.policy_for_set */
+            is_leader = s->leaders[set_index];
+            if (is_leader) {
+                ps = s->slots + (is_leader - 1);
+            }
+            else if (s->psel_val[0] >= s->psel_msb) {
+                ps = s->slots + 1; /* LRU leaders miss more: BIP */
+            }
+            pol = (int)ps->kind;
+        }
+        else if (s->controller_kind == CTRL_TOURNAMENT) {
+            /* TournamentController.policy_for_set */
+            is_leader = s->leaders[set_index];
+            int64_t cand = is_leader ? is_leader - 1 : tournament_winner(s);
+            ps = s->slots + s->cand_slot[cand];
+            pol = (int)ps->kind;
+            lam = ps->lam;
         }
         else if (s->controller_kind == CTRL_SBAR) {
             is_leader = s->leaders[set_index];
@@ -1276,19 +1451,30 @@ run_loop(Sim *s)
         if (pos >= 0) {
             /* ---- L2 hit ---- */
             s->l2_hits += 1;
-            if (pol == POL_EHC) {
-                tags_touch(lw, pos);
-                lw[0].next_use = s->ehc_pending;
-            }
-            else if (pol == POL_AWRP) {
-                tags_touch(lw, pos);
-                awrp_on_hit(s, block);
+            if (pol == POL_PLRU || pol == POL_COST_PLRU) {
+                /* ways are pinned to slots: the tree bits carry all
+                 * recency, nothing moves */
+                plru_touch(s->plru_bits + set_index * (s->l2.assoc - 1),
+                           s->l2.assoc, pos);
+                s->plru_live[set_index] = 1;
             }
             else {
                 tags_touch(lw, pos); /* default move-to-MRU */
+                pos = 0;
+                if (pol == POL_EHC) {
+                    lw[0].next_use = s->ehc_pending;
+                }
+                else if (pol == POL_AWRP) {
+                    awrp_on_hit(s, block);
+                }
             }
-            int64_t hit_cost_q = lw[0].cost_q;
-            if (s->controller_kind == CTRL_SBAR) {
+            int64_t hit_cost_q = lw[pos].cost_q;
+            if (s->controller_kind == CTRL_TOURNAMENT) {
+                if (is_leader) {
+                    tournament_decay(s, is_leader - 1);
+                }
+            }
+            else if (s->controller_kind == CTRL_SBAR) {
                 if (is_leader) {
                     int64_t aseq = s->atd_seq;
                     s->atd_seq = aseq + 1;
@@ -1382,19 +1568,23 @@ run_loop(Sim *s)
             s->l2_misses += 1;
             Way victim;
             int have_victim = 0;
+            int64_t vpos = *llen; /* a cold PLRU fill takes the next slot */
             if (*llen >= (int32_t)s->l2.assoc) {
-                int64_t vpos;
-                if (pol == POL_LRU) {
-                    vpos = *llen - 1; /* victim_is_lru_tail */
-                }
-                else if (pol == POL_LIN) {
-                    vpos = lin_choose(lw, *llen, s->l2.assoc, s->lin_lam);
+                if (pol == POL_LIN) {
+                    vpos = lin_choose(lw, *llen, s->l2.assoc, lam);
                 }
                 else if (pol == POL_EHC) {
                     vpos = ehc_choose(lw, *llen);
                 }
-                else {
+                else if (pol == POL_AWRP) {
                     vpos = awrp_choose(s, lw, *llen, s->l2.assoc);
+                }
+                else if (pol == POL_PLRU || pol == POL_COST_PLRU) {
+                    vpos = plru_choose(s, set_index, lw,
+                                       pol == POL_COST_PLRU);
+                }
+                else {
+                    vpos = *llen - 1; /* LRU, LIP, BIP: the LRU tail */
                 }
                 victim = tags_evict(lw, llen, (int32_t)vpos);
                 have_victim = 1;
@@ -1405,11 +1595,34 @@ run_loop(Sim *s)
             Way nst = {block, seq, 0, 0, 0};
             if (pol == POL_EHC) {
                 nst.next_use = s->ehc_pending; /* EHCPolicy.on_fill */
+                tags_insert_mru(lw, llen, nst);
             }
             else if (pol == POL_AWRP) {
                 awrp_on_fill(s, block); /* AWRPPolicy.on_fill */
+                tags_insert_mru(lw, llen, nst);
             }
-            tags_insert_mru(lw, llen, nst);
+            else if (pol == POL_LIP) {
+                tags_insert_at(lw, llen, *llen, nst); /* insert_lru */
+            }
+            else if (pol == POL_BIP) {
+                ps->fills += 1;
+                if (ps->fills % ps->period == 0) {
+                    tags_insert_mru(lw, llen, nst);
+                }
+                else {
+                    tags_insert_at(lw, llen, *llen, nst);
+                }
+            }
+            else if (pol == POL_PLRU || pol == POL_COST_PLRU) {
+                /* the fill lands in the victim's physical slot */
+                tags_insert_at(lw, llen, (int32_t)vpos, nst);
+                plru_touch(s->plru_bits + set_index * (s->l2.assoc - 1),
+                           s->l2.assoc, vpos);
+                s->plru_live[set_index] = 1;
+            }
+            else {
+                tags_insert_mru(lw, llen, nst);
+            }
             int compulsory = 0;
             if (s->track_seen) {
                 if (!map_get(&s->l2_seen, block)) {
@@ -1424,7 +1637,24 @@ run_loop(Sim *s)
             int8_t pend_psel_op = 0;
             int32_t pend_fill_set = -1;
             int64_t pend_fill_seq = 0;
-            if (s->controller_kind == CTRL_SBAR) {
+            if (s->controller_kind == CTRL_DIP) {
+                /* DIPController.observe_access: raw leader misses */
+                if (is_leader == 1) {
+                    psel_increment(s, 0, 1);
+                }
+                else if (is_leader == 2) {
+                    psel_decrement(s, 0, 1);
+                }
+            }
+            else if (s->controller_kind == CTRL_TOURNAMENT) {
+                if (is_leader) {
+                    tournament_decay(s, is_leader - 1);
+                    s->deferred += 1;
+                    pend_kind = 3;
+                    psel_idx = is_leader - 1; /* the charged owner */
+                }
+            }
+            else if (s->controller_kind == CTRL_SBAR) {
                 if (is_leader) {
                     int64_t aseq = s->atd_seq;
                     s->atd_seq = aseq + 1;
@@ -2078,6 +2308,57 @@ emit_leader_tags(const Tags *t, const uint8_t *leaders)
     return list;
 }
 
+/* Tree-PLRU bits of every set whose Python tree would exist. */
+static PyObject *
+emit_plru(const Sim *s)
+{
+    PyObject *list = PyList_New(0);
+    if (!list || !s->plru_bits) {
+        return list;
+    }
+    int64_t width = s->l2.assoc - 1;
+    for (int64_t set = 0; set < s->l2.n_sets; set++) {
+        if (!s->plru_live[set]) {
+            continue;
+        }
+        PyObject *bits = PyList_New(width);
+        if (!bits) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        for (int64_t i = 0; i < width; i++) {
+            PyList_SET_ITEM(bits, i,
+                            PyLong_FromLong(s->plru_bits[set * width + i]));
+        }
+        PyObject *pair = Py_BuildValue("(LN)", (long long)set, bits);
+        if (!pair || PyList_Append(list, pair) < 0) {
+            Py_XDECREF(pair);
+            Py_DECREF(list);
+            return NULL;
+        }
+        Py_DECREF(pair);
+    }
+    return list;
+}
+
+static PyObject *
+emit_slot_fills(const Sim *s)
+{
+    PyObject *list = PyList_New(s->n_slots);
+    if (!list) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < s->n_slots; i++) {
+        PyObject *o = PyLong_FromLongLong(s->slots[i].fills);
+        if (!o) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, o);
+    }
+    return list;
+}
+
 static void
 sim_free(Sim *s)
 {
@@ -2102,6 +2383,12 @@ sim_free(Sim *s)
     free(s->psel_val);
     free(s->psel_incs);
     free(s->psel_decs);
+    free(s->slots);
+    free(s->plru_bits);
+    free(s->plru_live);
+    free(s->cand_slot);
+    free(s->t_scores);
+    free(s->t_accesses);
 }
 
 /* ---------------------------------------------------------------- */
@@ -2236,13 +2523,14 @@ replay(PyObject *self, PyObject *args)
     s->delta_high = p_int(&p, "delta_high");
 
     /* --- policy --- */
-    s->policy_kind = p_int(&p, "policy_kind");
     s->lin_lam = p_int(&p, "lin_lam");
     s->ehc_horizon = p_int(&p, "ehc_horizon");
     s->ehc_pending = p_int(&p, "ehc_pending");
     s->never = p_int(&p, "ehc_never");
     s->awrp_weight = p_dbl(&p, "awrp_weight");
     s->awrp_fills = p_int(&p, "awrp_fills");
+    s->plru_threshold = p_int(&p, "plru_threshold");
+    s->plru_rejects = p_int(&p, "plru_rejects");
 
     /* --- controller --- */
     s->controller_kind = p_int(&p, "controller_kind");
@@ -2261,6 +2549,7 @@ replay(PyObject *self, PyObject *args)
     s->deferred = p_int(&p, "deferred");
     s->follower_lin = p_int(&p, "follower_lin");
     s->follower_lru = p_int(&p, "follower_lru");
+    s->t_decay = p_dbl(&p, "t_decay");
 
     if (p.err) {
         goto fail;
@@ -2306,7 +2595,70 @@ replay(PyObject *self, PyObject *args)
         s->n_psels = np_;
     }
     {
-        PyObject *lead = p_item(&p, "sbar_leaders");
+        Py_ssize_t nk = 0, nl = 0, npd = 0, nf = 0;
+        int64_t *kinds = p_int_list(&p, "slot_kinds", &nk);
+        int64_t *lams = p_int_list(&p, "slot_lams", &nl);
+        int64_t *periods = p_int_list(&p, "slot_periods", &npd);
+        int64_t *fills = p_int_list(&p, "slot_fills", &nf);
+        if (!p.err && (nk < (s->controller_kind == CTRL_DIP ? 2 : 1) ||
+                       nl != nk || npd != nk || nf != nk)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: policy slot length mismatch");
+            p.err = 1;
+        }
+        if (!p.err) {
+            s->slots = (PolSlot *)calloc((size_t)nk, sizeof(PolSlot));
+            if (!s->slots) {
+                PyErr_NoMemory();
+                p.err = 1;
+            }
+        }
+        if (!p.err) {
+            s->n_slots = nk;
+            for (Py_ssize_t i = 0; i < nk; i++) {
+                s->slots[i].kind = kinds[i];
+                s->slots[i].lam = lams[i];
+                s->slots[i].period = periods[i] > 0 ? periods[i] : 1;
+                s->slots[i].fills = fills[i];
+            }
+        }
+        free(kinds);
+        free(lams);
+        free(periods);
+        free(fills);
+        if (p.err) {
+            goto fail;
+        }
+    }
+    {
+        Py_ssize_t nc = 0, ns = 0, na = 0;
+        s->cand_slot = p_int_list(&p, "cand_slots", &nc);
+        s->t_scores = p_dbl_list(&p, "t_scores", &ns);
+        s->t_accesses = p_dbl_list(&p, "t_accesses", &na);
+        if (p.err) {
+            goto fail;
+        }
+        if (ns != nc || na != nc) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: tournament array length mismatch");
+            goto fail;
+        }
+        for (Py_ssize_t i = 0; i < nc; i++) {
+            if (s->cand_slot[i] < 0 || s->cand_slot[i] >= s->n_slots) {
+                PyErr_SetString(PyExc_ValueError,
+                                "replay kernel: candidate slot out of range");
+                goto fail;
+            }
+        }
+        s->n_cands = nc;
+        if (s->controller_kind == CTRL_TOURNAMENT && nc < 1) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: tournament needs candidates");
+            goto fail;
+        }
+    }
+    {
+        PyObject *lead = p_item(&p, "leaders");
         if (p.err) {
             goto fail;
         }
@@ -2316,14 +2668,25 @@ replay(PyObject *self, PyObject *args)
         else {
             if (!PyBytes_Check(lead)) {
                 PyErr_SetString(PyExc_TypeError,
-                                "replay kernel: sbar_leaders must be bytes");
+                                "replay kernel: leaders must be bytes");
                 goto fail;
             }
-            if (s->controller_kind == CTRL_SBAR &&
-                PyBytes_GET_SIZE(lead) != (Py_ssize_t)l2_sets) {
+            if (PyBytes_GET_SIZE(lead) != (Py_ssize_t)l2_sets) {
                 PyErr_SetString(PyExc_ValueError,
-                                "replay kernel: sbar_leaders length mismatch");
+                                "replay kernel: leaders length mismatch");
                 goto fail;
+            }
+            /* every leader byte must name a slot/candidate that exists */
+            const uint8_t *bytes = (const uint8_t *)PyBytes_AS_STRING(lead);
+            int64_t max_tag = s->controller_kind == CTRL_TOURNAMENT
+                                  ? (int64_t)s->n_cands
+                                  : s->controller_kind == CTRL_DIP ? 2 : 1;
+            for (Py_ssize_t i = 0; i < (Py_ssize_t)l2_sets; i++) {
+                if (bytes[i] > max_tag) {
+                    PyErr_SetString(PyExc_ValueError,
+                                    "replay kernel: leader tag out of range");
+                    goto fail;
+                }
             }
             /* borrowed: the params dict keeps it alive for the call */
             s->leaders = (const uint8_t *)PyBytes_AS_STRING(lead);
@@ -2356,10 +2719,35 @@ replay(PyObject *self, PyObject *args)
             goto fail;
         }
     }
-    if (s->controller_kind == CTRL_SBAR && !s->leaders) {
+    if ((s->controller_kind == CTRL_SBAR || s->controller_kind == CTRL_DIP ||
+         s->controller_kind == CTRL_TOURNAMENT) &&
+        !s->leaders) {
         PyErr_SetString(PyExc_ValueError,
-                        "replay kernel: sbar requires leaders bitmap");
+                        "replay kernel: controller requires leaders bitmap");
         goto fail;
+    }
+    {
+        /* tree-PLRU state, for whichever slot runs it */
+        int plru = 0;
+        for (Py_ssize_t i = 0; i < s->n_slots; i++) {
+            plru |= s->slots[i].kind == POL_PLRU ||
+                    s->slots[i].kind == POL_COST_PLRU;
+        }
+        if (plru) {
+            if (l2_assoc < 1 || (l2_assoc & (l2_assoc - 1))) {
+                PyErr_SetString(PyExc_ValueError,
+                                "replay kernel: tree-PLRU needs a "
+                                "power-of-two associativity");
+                goto fail;
+            }
+            s->plru_bits = (uint8_t *)calloc(
+                (size_t)(l2_sets * (l2_assoc - 1) + 1), 1);
+            s->plru_live = (uint8_t *)calloc((size_t)l2_sets, 1);
+            if (!s->plru_bits || !s->plru_live) {
+                PyErr_NoMemory();
+                goto fail;
+            }
+        }
     }
 
     /* --- run --- */
@@ -2453,6 +2841,12 @@ replay(PyObject *self, PyObject *args)
                 emit_intervals(&s->ehc_intervals, &s->ehc_pool)) < 0 ||
         out_int(out, "awrp_fills", s->awrp_fills) < 0 ||
         out_obj(out, "awrp_counts", emit_map(&s->awrp_counts, 1)) < 0 ||
+        out_obj(out, "slot_fills", emit_slot_fills(s)) < 0 ||
+        out_obj(out, "plru_bits", emit_plru(s)) < 0 ||
+        out_obj(out, "t_scores", emit_dbl_array(s->t_scores, s->n_cands))
+            < 0 ||
+        out_obj(out, "t_accesses",
+                emit_dbl_array(s->t_accesses, s->n_cands)) < 0 ||
         /* controller */
         out_int(out, "atd_seq", s->atd_seq) < 0 ||
         out_int(out, "atd_accesses", s->atd_accesses) < 0 ||

@@ -2,23 +2,26 @@
 
 The compiled extension (``repro._native.replaykernel``, built by the
 *optional* ``build_ext`` in setup.py) runs the whole batched replay
-loop — window advance, L1 probe, MSHR sweep, L2 probe with
-LRU/LIN/EHC/AWRP victim selection, SBAR/CBS dueling, bank/bus timing,
-cost quantization — over the raw ``PackedTrace`` column buffers.  This
-module is the pure-python shim around it:
+loop — window advance, L1 probe, MSHR sweep, L2 probe with every
+built-in policy's victim selection and insertion (LRU, LIN, EHC, AWRP,
+LIP, BIP, tree-PLRU, cost-aware tree-PLRU), SBAR/CBS/DIP/tournament
+dueling, bank/bus timing, cost quantization — over the raw
+``PackedTrace`` column buffers.  This module is the pure-python shim
+around it:
 
 * :func:`load_extension` resolves the extension once per process and
   caches the answer (``None`` when absent — a source checkout without
   ``make native``, or a host without a compiler).
-* :func:`try_replay` is called by ``Simulator._replay`` *inside* the
+* :func:`gate_failure` is called by ``Simulator._replay`` *inside* the
   batched gate (every batched precondition already holds).  It narrows
-  the gate further to the machine shapes the C kernel implements,
-  marshals the initial scalar state into a flat params dict, invokes
-  the kernel, and writes the returned end-of-run state back into the
-  live Python objects — leaving the Simulator indistinguishable from
-  one that ran the batched kernel, bit for bit.  Returns False (and
-  touches nothing) when any check fails, which drops the ladder one
-  rung to batched.
+  the gate further to the machine shapes the C kernel implements and
+  returns why it cannot run (``"native: ..."``), or None.  A reason
+  drops the ladder one rung to batched and becomes the result's
+  ``meta["kernel_fallback"]``.
+* :func:`replay` marshals the initial scalar state into a flat params
+  dict, invokes the kernel, and writes the returned end-of-run state
+  back into the live Python objects — leaving the Simulator
+  indistinguishable from one that ran the batched kernel, bit for bit.
 
 The C kernel never sees a Python object graph: caches, the MSHR, heaps,
 ATDs, and policy side tables all start empty (a Simulator runs exactly
@@ -40,16 +43,42 @@ from repro.cache.replacement import (
     LRUPolicy,
 )
 from repro.cache.replacement.belady import NEVER
+from repro.cache.replacement.dip import BIPPolicy, DIPController, LIPPolicy
+from repro.cache.replacement.plru import (
+    CostAwareTreePLRUPolicy,
+    TreePLRUPolicy,
+    _is_power_of_two,
+    _TreeState,
+)
 from repro.mlp.cost import MAX_COST_Q, QUANTIZATION_STEP
 from repro.sbar.cbs import CBSController
 from repro.sbar.psel import PolicySelector
 from repro.sbar.sbar import SBARController
+from repro.sbar.tournament import TournamentController
 
 #: Policy discriminants understood by the C kernel (keep in sync with
 #: the ``POL_*`` enum in replaykernel.c).
-_POL_LRU, _POL_LIN, _POL_EHC, _POL_AWRP = 0, 1, 2, 3
+(_POL_LRU, _POL_LIN, _POL_EHC, _POL_AWRP, _POL_LIP, _POL_BIP, _POL_PLRU,
+ _POL_COST_PLRU) = range(8)
 #: Controller discriminants (``CTRL_*`` in replaykernel.c).
-_CTRL_NONE, _CTRL_SBAR, _CTRL_CBS = 0, 1, 2
+_CTRL_NONE, _CTRL_SBAR, _CTRL_CBS, _CTRL_DIP, _CTRL_TOURNAMENT = range(5)
+
+_POLICY_KINDS = {
+    LRUPolicy: _POL_LRU,
+    LINPolicy: _POL_LIN,
+    EHCPolicy: _POL_EHC,
+    AWRPPolicy: _POL_AWRP,
+    LIPPolicy: _POL_LIP,
+    BIPPolicy: _POL_BIP,
+    TreePLRUPolicy: _POL_PLRU,
+    CostAwareTreePLRUPolicy: _POL_COST_PLRU,
+}
+#: The kinds a DIP or tournament slot may dispatch to: their state is a
+#: LIN lambda or a BIP fill counter, nothing keyed by block or set.
+_SLOT_KINDS = (_POL_LRU, _POL_LIN, _POL_LIP, _POL_BIP)
+#: Hooks the kernel inlines; an instance-level override (tests and
+#: instrumentation patch bound methods) must keep the Python path.
+_POLICY_HOOKS = ("choose_victim", "on_fill", "on_hit", "note_access")
 
 #: Tri-state import cache: the sentinel means "not probed yet".  Tests
 #: monkeypatch :func:`load_extension` itself (or set ``_extension``)
@@ -72,63 +101,63 @@ def load_extension():
 
 
 def _policy_kind(policy):
-    """Map a fixed L2 policy to its C discriminant, or None."""
-    kind = type(policy)
-    if kind is LRUPolicy:
-        return _POL_LRU
-    if kind is LINPolicy:
-        return _POL_LIN
-    if kind is EHCPolicy:
-        return _POL_EHC
-    if kind is AWRPPolicy:
-        return _POL_AWRP
-    return None
+    """Map an L2 policy instance to its C discriminant, or None."""
+    return _POLICY_KINDS.get(type(policy))
 
 
 def _sets_pristine(sets):
     return all(not cache_set.ways for cache_set in sets)
 
 
-def _gate(sim):
-    """Whether the C kernel can run this Simulator.
+def _policy_failure(policy, assoc, kinds=None):
+    """Why the kernel cannot run ``policy``, or None."""
+    kind = _policy_kind(policy)
+    name = type(policy).__name__
+    if kind is None or (kinds is not None and kind not in kinds):
+        return "policy %s not supported" % name
+    if any(hook in policy.__dict__ for hook in _POLICY_HOOKS):
+        return "policy %s has patched hooks" % name
+    if kind == _POL_LIN and type(policy.lam) is not int:
+        return "policy %s lambda %r not an int" % (name, policy.lam)
+    if kind in (_POL_PLRU, _POL_COST_PLRU):
+        if not _is_power_of_two(assoc):
+            # The Python policy raises on first use; let it.
+            return "policy %s associativity %d" % (name, assoc)
+        if policy._trees or policy._pending_slot:
+            return "policy %s state not pristine" % name
+    if kind == _POL_EHC and (policy._last_seen or policy._intervals):
+        return "policy %s state not pristine" % name
+    if kind == _POL_AWRP and policy._counts:
+        return "policy %s state not pristine" % name
+    return None
 
-    Callers guarantee the full batched gate already holds (plain
-    caches, no observer, PackedTrace with no wrong-path records, stock
-    bus/banks, no warm-up/phases/prefetcher/instruction clock).  This
-    narrows to what replaykernel.c actually implements, plus pristine
-    container state: the kernel starts its machine empty and *continues
-    from* the scalar counters, so any pre-seeded tags or in-flight
-    state must fall back to batched.
-    """
-    controller = sim.controller
-    l2 = sim.l2
-    if controller is None:
-        if l2.policy_selector is not None:
-            return False
-        if _policy_kind(l2.policy) is None:
-            return False
-    elif type(controller) is SBARController:
+
+def _controller_failure(controller, assoc):
+    """Why the kernel cannot run ``controller``, or None."""
+    kind = type(controller)
+    name = kind.__name__
+    if kind not in (SBARController, CBSController, DIPController,
+                    TournamentController):
+        return "controller %s not supported" % name
+    if ("policy_for_set" in controller.__dict__
+            or "observe_access" in controller.__dict__):
+        return "controller %s has patched hooks" % name
+    if kind is SBARController:
         # Mirror of the batched kernel's sbar_fast gate.
         if not (
             not controller.needs_instruction_clock
-            and "policy_for_set" not in controller.__dict__
-            and "observe_access" not in controller.__dict__
             and controller.atd_lru.is_plain()
             and type(controller.atd_lru.policy) is LRUPolicy
             and type(controller.psel) is PolicySelector
             and controller.psel.observer is None
         ):
-            return False
-        if not all(
-            not s.ways for s in controller.atd_lru._sets.values()
-        ):
-            return False
-    elif type(controller) is CBSController:
+            return "controller %s shape not supported" % name
+        if not _sets_pristine(controller.atd_lru._sets.values()):
+            return "controller %s state not pristine" % name
+    elif kind is CBSController:
         # Mirror of the batched kernel's cbs_fast gate.
         if not (
-            "policy_for_set" not in controller.__dict__
-            and "observe_access" not in controller.__dict__
-            and controller.atd_lru.is_plain()
+            controller.atd_lru.is_plain()
             and controller.atd_lin.is_plain()
             and type(controller.atd_lru.policy) is LRUPolicy
             and type(controller.atd_lin.policy) is LINPolicy
@@ -138,19 +167,57 @@ def _gate(sim):
                 for psel in controller._psels
             )
         ):
-            return False
-        if not all(
-            not s.ways for s in controller.atd_lru._sets.values()
-        ) or not all(
-            not s.ways for s in controller.atd_lin._sets.values()
-        ):
-            return False
-    else:
-        return False
+            return "controller %s shape not supported" % name
+        if not (_sets_pristine(controller.atd_lru._sets.values())
+                and _sets_pristine(controller.atd_lin._sets.values())):
+            return "controller %s state not pristine" % name
+    elif kind is DIPController:
+        if not (type(controller.psel) is PolicySelector
+                and controller.psel.observer is None):
+            return "controller %s shape not supported" % name
+        return (_policy_failure(controller.lru, assoc, (_POL_LRU,))
+                or _policy_failure(controller.bip, assoc, (_POL_BIP,)))
+    else:  # TournamentController
+        if controller.observer is not None or len(controller.policies) > 255:
+            return "controller %s shape not supported" % name
+        for policy in controller.policies:
+            failure = _policy_failure(policy, assoc, _SLOT_KINDS)
+            if failure is not None:
+                return failure
+    return None
 
+
+def gate_failure(sim):
+    """Why the C kernel cannot run this Simulator, or None when it can.
+
+    Callers guarantee the full batched gate already holds (plain
+    caches, no observer, PackedTrace with no wrong-path records, stock
+    bus/banks, no warm-up/phases/prefetcher/instruction clock).  This
+    narrows to what replaykernel.c actually implements, plus pristine
+    container state: the kernel starts its machine empty and *continues
+    from* the scalar counters, so any pre-seeded tags or in-flight
+    state must fall back to batched.  Reasons read ``"native: ..."``.
+    """
+    failure = _gate_failure(sim)
+    return None if failure is None else "native: " + failure
+
+
+def _gate_failure(sim):
+    if load_extension() is None:
+        return "extension not built"
+    controller = sim.controller
+    l2 = sim.l2
+    assoc = l2.geometry.associativity
+    if controller is None:
+        if l2.policy_selector is not None:
+            return "policy selector without a controller"
+        failure = _policy_failure(l2.policy, assoc)
+    else:
+        failure = _controller_failure(controller, assoc)
+    if failure is not None:
+        return failure
     mshr = sim.mshr
-    policy = l2.policy
-    return (
+    if not (
         _sets_pristine(sim.l1d._sets)
         and _sets_pristine(sim.l1i._sets)
         and _sets_pristine(l2._sets)
@@ -163,12 +230,32 @@ def _gate(sim):
         and mshr._demand_live == 0
         and not sim.memory._in_flight
         and (sim.delta is None or not sim.delta._last_cost)
-        and (
-            type(policy) is not EHCPolicy
-            or (not policy._last_seen and not policy._intervals)
-        )
-        and (type(policy) is not AWRPPolicy or not policy._counts)
-    )
+    ):
+        return "machine state not pristine"
+    return None
+
+
+def _distinct(policies):
+    """Policy instances in first-seen order, each once by identity.
+
+    Tournament candidates that share one instance share its kernel slot
+    (and so its BIP fill counter), exactly as the Python objects do.
+    """
+    distinct = []
+    for policy in policies:
+        if not any(policy is seen for seen in distinct):
+            distinct.append(policy)
+    return distinct
+
+
+def _slot(policy):
+    """One ``PolSlot`` of replaykernel.c: (kind, lambda, period, fills)."""
+    kind = _policy_kind(policy)
+    if kind == _POL_LIN:
+        return kind, policy.lam, 1, 0
+    if kind == _POL_BIP:
+        return kind, 0, policy.period, policy._fills
+    return kind, 0, 1, 0
 
 
 def _build_params(sim, trace):
@@ -276,15 +363,21 @@ def _build_params(sim, trace):
         "delta_below": delta._below_60 if delta is not None else 0,
         "delta_mid": delta._60_to_119 if delta is not None else 0,
         "delta_high": delta._120_plus if delta is not None else 0,
-        # Fixed policy (only read when controller_kind == 0, except
-        # lin_lam which SBAR/CBS reuse for their LIN flavor).
-        "policy_kind": _POL_LRU,
+        # Policy slots: the fixed policy, DIP's LRU and BIP, or the
+        # tournament's distinct candidates (SBAR/CBS dispatch on
+        # lin_lam alone and never read them).
+        "slot_kinds": [_POL_LRU],
+        "slot_lams": [0],
+        "slot_periods": [1],
+        "slot_fills": [0],
         "lin_lam": 0,
         "ehc_horizon": 1,
         "ehc_pending": NEVER,
         "ehc_never": NEVER,
         "awrp_weight": 0.0,
         "awrp_fills": 0,
+        "plru_threshold": 0,
+        "plru_rejects": 0,
         # Controller.
         "controller_kind": _CTRL_NONE,
         "atd_assoc": 0,
@@ -302,23 +395,71 @@ def _build_params(sim, trace):
         "psel_decs": [],
         "psel_max": 0,
         "psel_msb": 0,
-        "sbar_leaders": None,
+        "leaders": None,
         "deferred": 0,
         "follower_lin": 0,
         "follower_lru": 0,
+        "cand_slots": [],
+        "t_scores": [],
+        "t_accesses": [],
+        "t_decay": 1.0,
     }
 
+    def set_slots(policies):
+        kinds, lams, periods, fills = zip(*(_slot(p) for p in policies))
+        params.update(slot_kinds=list(kinds), slot_lams=list(lams),
+                      slot_periods=list(periods), slot_fills=list(fills))
+
     if controller is None:
+        set_slots([policy])
         kind = _policy_kind(policy)
-        params["policy_kind"] = kind
-        if kind == _POL_LIN:
-            params["lin_lam"] = policy.lam
-        elif kind == _POL_EHC:
+        if kind == _POL_EHC:
             params["ehc_horizon"] = policy.horizon
             params["ehc_pending"] = policy._pending_next_use
         elif kind == _POL_AWRP:
             params["awrp_weight"] = policy.weight
             params["awrp_fills"] = policy._fills
+        elif kind == _POL_COST_PLRU:
+            params["plru_threshold"] = policy.protect_threshold
+            params["plru_rejects"] = policy.max_rejects
+    elif type(controller) is DIPController:
+        set_slots([controller.lru, controller.bip])
+        psel = controller.psel
+        lru_leaders = controller.lru_leaders
+        bip_leaders = controller.bip_leaders
+        params.update(
+            controller_kind=_CTRL_DIP,
+            psel_values=[psel.value],
+            psel_incs=[psel.increments],
+            psel_decs=[psel.decrements],
+            psel_max=psel.max_value,
+            psel_msb=psel._msb_threshold,
+            # policy_for_set tests LRU leadership first.
+            leaders=bytes(
+                1 if index in lru_leaders
+                else 2 if index in bip_leaders else 0
+                for index in range(l2.n_sets)
+            ),
+        )
+    elif type(controller) is TournamentController:
+        distinct = _distinct(controller.policies)
+        set_slots(distinct)
+        owners = controller._leader_owner
+        params.update(
+            controller_kind=_CTRL_TOURNAMENT,
+            cand_slots=[
+                next(i for i, q in enumerate(distinct) if q is p)
+                for p in controller.policies
+            ],
+            t_scores=list(controller._scores),
+            t_accesses=list(controller._accesses),
+            t_decay=float(controller.decay),
+            leaders=bytes(
+                owners[index] + 1 if index in owners else 0
+                for index in range(l2.n_sets)
+            ),
+            deferred=controller.deferred_updates,
+        )
     elif type(controller) is SBARController:
         atd = controller.atd_lru
         psel = controller.psel
@@ -336,7 +477,7 @@ def _build_params(sim, trace):
             psel_decs=[psel.decrements],
             psel_max=psel.max_value,
             psel_msb=psel._msb_threshold,
-            sbar_leaders=bytes(
+            leaders=bytes(
                 1 if index in leaders else 0 for index in range(l2.n_sets)
             ),
             deferred=controller.deferred_updates,
@@ -474,17 +615,41 @@ def _write_back(sim, out):
     controller = sim.controller
     policy = sim.l2.policy
     if controller is None:
-        kind = type(policy)
-        if kind is EHCPolicy:
+        kind = _policy_kind(policy)
+        if kind == _POL_EHC:
             policy._pending_next_use = out["ehc_pending"]
             policy._last_seen.update(out["ehc_last"])
             horizon = policy.horizon
             intervals = policy._intervals
             for block, values in out["ehc_intervals"]:
                 intervals[block] = deque(values, maxlen=horizon)
-        elif kind is AWRPPolicy:
+        elif kind == _POL_AWRP:
             policy._counts.update(out["awrp_counts"])
             policy._fills = out["awrp_fills"]
+        elif kind == _POL_BIP:
+            policy._fills = out["slot_fills"][0]
+        elif kind in (_POL_PLRU, _POL_COST_PLRU):
+            # Trees are keyed by CacheSet identity, built on first touch.
+            sets = sim.l2._sets
+            n_ways = sim.l2.geometry.associativity
+            for index, bits in out["plru_bits"]:
+                tree = _TreeState(n_ways)
+                tree.bits = bits
+                policy._trees[id(sets[index])] = tree
+    elif type(controller) is DIPController:
+        psel = controller.psel
+        psel.value = out["psel_values"][0]
+        psel.increments = out["psel_incs"][0]
+        psel.decrements = out["psel_decs"][0]
+        controller.bip._fills = out["slot_fills"][1]
+    elif type(controller) is TournamentController:
+        controller._scores[:] = out["t_scores"]
+        controller._accesses[:] = out["t_accesses"]
+        controller.deferred_updates = out["deferred"]
+        for candidate, fills in zip(_distinct(controller.policies),
+                                    out["slot_fills"]):
+            if type(candidate) is BIPPolicy:
+                candidate._fills = fills
     elif type(controller) is SBARController:
         atd = controller.atd_lru
         atd._seq = out["atd_seq"]
@@ -524,18 +689,14 @@ def _write_back(sim, out):
         controller.deferred_updates = out["deferred"]
 
 
-def try_replay(sim, trace) -> bool:
-    """Run the trace through the C kernel if every gate holds.
+def replay(sim, trace) -> None:
+    """Run the trace through the C kernel.
 
-    Returns True when the native rung ran (the Simulator now holds the
-    complete end-of-run state); False to fall one rung down to batched.
-    Called only from ``Simulator._replay`` with the batched gate
-    already satisfied.
+    Leaves the Simulator holding the complete end-of-run state.  Called
+    only from ``Simulator._replay`` once the batched gate and
+    :func:`gate_failure` both hold.
     """
-    extension = load_extension()
-    if extension is None or not _gate(sim):
-        return False
-    out = extension.replay(_build_params(sim, trace))
+    out = load_extension().replay(_build_params(sim, trace))
     # The drain leaves nothing in flight by construction; a nonzero
     # count would mean the C machine diverged, which must never be
     # written back silently.
@@ -549,4 +710,3 @@ def try_replay(sim, trace) -> bool:
     sim.batched_replay = False
     sim.native_replay = True
     sim.replay_kernel = "native"
-    return True

@@ -89,6 +89,15 @@ def packed_trace(benchmark, scale: Optional[float] = None) -> PackedTrace:
     return packed
 
 
+def trace_resident(benchmark, scale: Optional[float] = None) -> bool:
+    """Whether :func:`packed_trace` would serve this trace from the memo."""
+    from repro.workloads import parse_workload_spec
+
+    if scale is None:
+        scale = trace_scale()
+    return (parse_workload_spec(benchmark).canonical, scale) in _TRACE_CACHE
+
+
 def _memo_key(
     benchmark,
     policy_spec: str,

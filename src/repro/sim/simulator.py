@@ -196,6 +196,9 @@ class Simulator:
         #: Which kernel :meth:`run` actually took: ``"native"``,
         #: ``"batched"``, ``"fused"``, or ``"generic"``.
         self.replay_kernel = "generic"
+        #: When :meth:`run` resolved below the requested rung, the first
+        #: gate that failed (``"<rung>: <reason>"``), else None.
+        self.kernel_fallback: Optional[str] = None
 
     def _wire_observer(self, observer: obs.Observer) -> None:
         """Install the telemetry sink into every instrumented component."""
@@ -253,65 +256,37 @@ class Simulator:
         """
         l1d = self.l1d
         l1i = self.l1i
-        l2 = self.l2
-        mshr = self.mshr
-        memory = self.memory
-        if (
-            self._kernel != "generic"
-            and self._obs is None
-            and l1d.is_plain()
-            and l1i.is_plain()
-            and l1d.policy.victim_is_lru_tail
-            and l1i.policy.victim_is_lru_tail
-            and l1d._seen is None
-            and l1i._seen is None
-            and l2.observer is None
-            and "access" not in l2.__dict__
-            and mshr.observer is None
-            and memory.observer is None
-            and type(memory.bus) is SplitTransactionBus
-        ):
-            # The batched kernel narrows the gate further: it needs the
-            # numpy column views of a PackedTrace, excludes every
-            # bookkeeping rung the fused loop still services per record
-            # (wrong-path records, warm-up, phase cuts, an instruction
-            # clock, a prefetcher), and requires the stock flat-latency
-            # bank array plus a serializing bus (occupancy > 0 makes
-            # demand completions strictly monotone, which is what lets
-            # the demand heap flatten into a deque).  Anything else
-            # falls one rung down the ladder to the fused loop.
-            if (
-                self._kernel in ("auto", "native", "batched")
-                and isinstance(trace, PackedTrace)
-                and trace.wrong_path_count == 0
-                and self.warmup_instructions == 0
-                and not self.phase_interval
-                and self.prefetcher is None
-                and (
-                    self.controller is None
-                    or not getattr(
-                        self.controller, "needs_instruction_clock", True
-                    )
-                )
-                and type(memory.banks) is DramBankArray
-                and memory.bus.occupancy > 0
-            ):
-                # Top rung: the compiled C kernel.  Its gate narrows
-                # further (supported policy/controller shapes, pristine
-                # machine state); a missing extension or a failed check
-                # drops exactly one rung to batched, never errors.
-                if self._kernel in ("auto", "native"):
-                    from repro.sim import native as _native
+        if self._kernel != "generic":
+            # The kernel ladder: each rung narrows the one below it, and
+            # the request is a ceiling.  The first gate that fails names
+            # the rung it guards, and the run drops to the next one down.
+            fused_failure = self._fused_gate_failure()
+            fallback = fused_failure
+            if fallback is None and self._kernel != "fused":
+                fallback = self._batched_gate_failure(trace)
+                if fallback is None:
+                    if self._kernel != "batched":
+                        # Top rung: the compiled C kernel.  Its gate
+                        # narrows further (supported policy/controller
+                        # shapes, pristine machine state); a missing
+                        # extension drops one rung, never errors.
+                        from repro.sim import native as _native
 
-                    if _native.try_replay(self, trace):
-                        return None
-                try:
-                    import numpy  # noqa: F401
-                except ImportError:
-                    pass  # numpy is a hard dep of this kernel only
-                else:
-                    return self._replay_batched(trace)
-            return self._replay_fused(trace)
+                        fallback = _native.gate_failure(self)
+                        if fallback is None:
+                            _native.replay(self, trace)
+                            return None
+                    try:
+                        import numpy  # noqa: F401
+                    except ImportError:
+                        # numpy is a hard dep of the batched kernel only
+                        fallback = fallback or "batched: numpy not installed"
+                    else:
+                        self.kernel_fallback = fallback
+                        return self._replay_batched(trace)
+            self.kernel_fallback = fallback
+            if fused_failure is None:
+                return self._replay_fused(trace)
 
         window = self.window
         controller = self.controller
@@ -408,6 +383,71 @@ class Simulator:
 
         self.mshr.drain()
         return current_phase
+
+    def _fused_gate_failure(self) -> Optional[str]:
+        """Why the fused loop cannot run, or None when it can.
+
+        The fused loop flattens every hook away, so it needs no
+        observer, no instance-level ``access`` wrapper, plain
+        tail-evicting LRU L1s without compulsory tracking, and the
+        stock split-transaction bus.
+        """
+        l1d = self.l1d
+        l1i = self.l1i
+        l2 = self.l2
+        memory = self.memory
+        if self._obs is not None or any(
+            component.observer is not None
+            for component in (l2, self.mshr, memory)
+        ):
+            return "fused: observer installed"
+        if not (l1d.is_plain() and l1i.is_plain()
+                and l1d.policy.victim_is_lru_tail
+                and l1i.policy.victim_is_lru_tail):
+            return "fused: L1 not plain LRU"
+        if l1d._seen is not None or l1i._seen is not None:
+            return "fused: L1 tracks compulsory misses"
+        if "access" in l2.__dict__:
+            return "fused: L2 access wrapped"
+        if type(memory.bus) is not SplitTransactionBus:
+            return "fused: bus %s" % type(memory.bus).__name__
+        return None
+
+    def _batched_gate_failure(self, trace) -> Optional[str]:
+        """Why the batched kernel cannot run, or None when it can.
+
+        On top of the fused gate, the batched kernel needs the numpy
+        column views of a PackedTrace, excludes every bookkeeping rung
+        the fused loop still services per record (wrong-path records,
+        warm-up, phase cuts, an instruction clock, a prefetcher), and
+        requires the stock flat-latency bank array plus a serializing
+        bus (occupancy > 0 makes demand completions strictly monotone,
+        which is what lets the demand heap flatten into a deque).
+        """
+        memory = self.memory
+        if not isinstance(trace, PackedTrace):
+            return "batched: %s trace" % (
+                "list" if isinstance(trace, list) else type(trace).__name__
+            )
+        if trace.wrong_path_count:
+            return "batched: wrong-path records"
+        if self.warmup_instructions:
+            return "batched: warm-up"
+        if self.phase_interval:
+            return "batched: phase sampling"
+        if self.prefetcher is not None:
+            return "batched: prefetcher"
+        if self.controller is not None and getattr(
+            self.controller, "needs_instruction_clock", True
+        ):
+            return "batched: controller %s needs an instruction clock" % (
+                type(self.controller).__name__
+            )
+        if type(memory.banks) is not DramBankArray:
+            return "batched: banks %s" % type(memory.banks).__name__
+        if not memory.bus.occupancy > 0:
+            return "batched: non-serializing bus"
+        return None
 
     def _replay_fused(self, trace) -> Optional[PhaseSample]:
         """One-function replay for the hook-free configuration.
@@ -2433,6 +2473,8 @@ class Simulator:
         # instance (never a dataclass field), so digests, store keys,
         # and serialized payloads are untouched — see SimResult.meta.
         result.meta = {"kernel_used": self.replay_kernel}
+        if self.kernel_fallback is not None:
+            result.meta["kernel_fallback"] = self.kernel_fallback
         if self._obs is not None:
             result.metrics = self._obs.finalize_run(self, result)
         return result

@@ -226,17 +226,28 @@ def _oracle_reports(
     scale: Optional[float],
     use_store: bool,
 ):
-    """Oracle reports per benchmark, at the scale the cells ran with."""
+    """Oracle reports per benchmark, at the scale the cells ran with.
+
+    The cells just built the traces in grid order, and the per-process
+    trace memo keeps only the last ``TRACE_CACHE_MAX`` of them, so a
+    second pass in grid order would miss on every benchmark of a wide
+    suite.  Visit the traces still resident first; the rest rebuild
+    once each.  The mapping keeps the original benchmark order.
+    """
     from repro.analysis.oracle import oracle_report
-    from repro.sim.runner import packed_trace, trace_scale
+    from repro.sim.runner import packed_trace, trace_resident, trace_scale
 
     resolved = scale if scale is not None else trace_scale()
-    return {
+    visit = sorted(
+        benchmarks, key=lambda name: not trace_resident(name, resolved)
+    )
+    reports = {
         benchmark: oracle_report(
             packed_trace(benchmark, scale=resolved), use_store=use_store
         )
-        for benchmark in benchmarks
+        for benchmark in visit
     }
+    return {benchmark: reports[benchmark] for benchmark in benchmarks}
 
 
 def run_suite(

@@ -24,6 +24,96 @@ from repro.config import (
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+#: Why the native rung is unavailable this session (None when the
+#: extension loads); set by :func:`pytest_configure`.
+NATIVE_UNAVAILABLE = None
+_NATIVE_BUILD_DIR = None
+
+
+def _provision_native_kernel():
+    """Build the C replay kernel for this session when it is missing.
+
+    A source checkout without ``make native`` has no compiled
+    extension, so every ``native`` request would resolve to ``batched``
+    and the native differential battery would compare batched with
+    itself.  When a C compiler is present, build ``replaykernel.c``
+    into a temp dir with stock setuptools (no best-effort wrapper: a
+    failed build fails the run) and put it first on
+    ``repro._native.__path__``.  Runs at configure time, before test
+    modules import and probe the extension.  Returns None when the
+    kernel is available, else the reason it is not.
+    """
+    global _NATIVE_BUILD_DIR
+    import importlib.util
+    import shutil
+    import sysconfig
+    import tempfile
+
+    import repro._native
+
+    if importlib.util.find_spec("repro._native.replaykernel") is not None:
+        return None  # built in place by `make native`
+    compiler = (
+        os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    ).split()[0]
+    if shutil.which(compiler) is None:
+        return (
+            "no C compiler (%s) on this host: the replay kernel is not "
+            "built and native requests resolve to batched" % compiler
+        )
+    try:
+        from setuptools import Distribution, Extension
+    except ImportError:
+        return (
+            "setuptools is not installed: the replay kernel is not built "
+            "and native requests resolve to batched"
+        )
+
+    source = (
+        Path(__file__).resolve().parents[1]
+        / "src" / "repro" / "_native" / "replaykernel.c"
+    )
+    out_dir = tempfile.mkdtemp(prefix="repro-native-")
+    _NATIVE_BUILD_DIR = out_dir
+    distribution = Distribution({
+        "name": "repro-replaykernel",
+        "ext_modules": [
+            Extension("repro._native.replaykernel", sources=[str(source)])
+        ],
+    })
+    distribution.verbose = 0
+    command = distribution.get_command_obj("build_ext")
+    command.build_lib = out_dir
+    command.build_temp = os.path.join(out_dir, "tmp")
+    command.ensure_finalized()
+    try:
+        command.run()
+    except Exception as exc:
+        shutil.rmtree(out_dir, ignore_errors=True)
+        raise pytest.UsageError(
+            "building the native replay kernel from %s failed: %s"
+            % (source, exc)
+        ) from exc
+    repro._native.__path__.insert(0, os.path.join(out_dir, "repro", "_native"))
+    return None
+
+
+def pytest_configure(config):
+    global NATIVE_UNAVAILABLE
+    NATIVE_UNAVAILABLE = _provision_native_kernel()
+
+
+def pytest_unconfigure(config):
+    if _NATIVE_BUILD_DIR is not None:
+        import shutil
+
+        shutil.rmtree(_NATIVE_BUILD_DIR, ignore_errors=True)
+
+
+def pytest_report_header(config):
+    return "native replay kernel: %s" % (NATIVE_UNAVAILABLE or "available")
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

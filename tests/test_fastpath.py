@@ -312,9 +312,9 @@ class TestBatchedReplayDifferential:
 def controller_fingerprint(controller):
     """Every externally visible dueling-controller counter.
 
-    The fused fast paths must leave SBAR/CBS in *exactly* the state the
-    method-call path leaves them in — not just produce equal SimResults
-    — or a later epoch/report would diverge.
+    The fused fast paths must leave SBAR/CBS/DIP/tournament in *exactly*
+    the state the method-call path leaves them in — not just produce
+    equal SimResults — or a later epoch/report would diverge.
     """
     fingerprint = {"deferred_updates": controller.deferred_updates}
     for name in ("atd_lru", "atd_lin"):
@@ -327,13 +327,40 @@ def controller_fingerprint(controller):
             )
     psels = getattr(controller, "_psels", None)
     if psels is None:
-        psels = [controller.psel]
+        psels = [controller.psel] if hasattr(controller, "psel") else []
     fingerprint["psels"] = [
         (psel.value, psel.increments, psel.decrements) for psel in psels
     ]
     for name in ("follower_lin_accesses", "follower_lru_accesses"):
         if hasattr(controller, name):
             fingerprint[name] = getattr(controller, name)
+    if hasattr(controller, "_scores"):
+        # Tournament: decayed scores and access counts, compared as
+        # exact floats.
+        fingerprint["scores"] = list(controller._scores)
+        fingerprint["accesses"] = list(controller._accesses)
+    candidates = getattr(controller, "policies", None) or [
+        getattr(controller, "bip", None)
+    ]
+    fingerprint["bip_fills"] = [
+        getattr(policy, "_fills", None) for policy in candidates
+    ]
+    return fingerprint
+
+
+def policy_fingerprint(cache):
+    """The L2 policy's own end state: fill counters and PLRU tree bits
+    by set index (trees are keyed by CacheSet identity)."""
+    policy = cache.policy
+    fingerprint = {"fills": getattr(policy, "_fills", None)}
+    trees = getattr(policy, "_trees", None)
+    if trees is not None:
+        fingerprint["trees"] = {
+            index: list(trees[id(cache_set)].bits)
+            for index, cache_set in enumerate(cache._sets)
+            if id(cache_set) in trees
+        }
+        fingerprint["pending_slot"] = dict(policy._pending_slot)
     return fingerprint
 
 

@@ -61,7 +61,8 @@ class TestKernelGolden:
         native_rung = "native" if load_extension() is not None else "batched"
         trace = pack_trace(build_trace("mcf", scale=SCALE))
         payload = {}
-        for policy in ("lru", "sbar"):
+        # dip and tournament pin the set-dueling ports of the kernel.
+        for policy in ("lru", "sbar", "dip", "tournament"):
             per_kernel = {}
             for kernel in ("native", "batched", "fused", "generic"):
                 sim = Simulator(experiment_config(), policy, kernel=kernel)

@@ -351,3 +351,35 @@ class TestSuiteOracleIntegration:
         (row,) = suite.to_rows()
         assert row["miss_regret"] is None
         assert suite.oracle is None
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_oracle_pass_reuses_resident_traces(self, monkeypatch, workers):
+        # The cells build every trace in grid order and the memo keeps
+        # the last TRACE_CACHE_MAX; an oracle pass in grid order rebuilt
+        # all 14 (28 builds).  Resident traces must be visited first.
+        from repro.sim import runner
+        from repro.sim.options import RunOptions
+        from repro.sim.suite import run_suite
+        from repro.workloads import BENCHMARKS
+
+        assert len(BENCHMARKS) == 14
+        assert runner.TRACE_CACHE_MAX < len(BENCHMARKS)
+        monkeypatch.setenv("REPRO_NO_STORE", "1")
+        runner.clear_cache()
+        before = runner.cache_stats()["trace_builds"]
+        suite = run_suite(
+            policies=("lru",), benchmarks=BENCHMARKS, scale=0.02,
+            options=RunOptions(workers=workers), oracle=True,
+        )
+        builds = runner.cache_stats()["trace_builds"] - before
+        runner.clear_cache()
+        assert not suite.failures
+        assert builds <= 20
+        # The reports still line up with their benchmarks, in order.
+        assert list(suite.oracle) == list(BENCHMARKS)
+        for benchmark in BENCHMARKS:
+            trace = runner.packed_trace(benchmark, scale=0.02)
+            assert suite.oracle[benchmark]["trace_digest"] == (
+                trace.content_digest()
+            )
+        runner.clear_cache()
