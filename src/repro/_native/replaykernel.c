@@ -26,8 +26,11 @@
  *
  * The kernel consumes PackedTrace columns through the buffer protocol
  * (array.array or numpy arrays both work) and returns every counter
- * plus the full end-of-run machine state for the Python wrapper
- * (repro.sim.native) to write back into the component objects.
+ * and small queue the result reads, plus an EndState object that owns
+ * the finished machine.  The large containers (tag sets, seen set,
+ * policy side tables, ATDs) stay in C until the Python wrapper
+ * (repro.sim.native) asks the EndState to emit them — which only a
+ * post-run read of the Simulator's caches or controller does.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -763,8 +766,9 @@ typedef struct {
     /* controller */
     int64_t controller_kind;
     /* 1 byte per l2 set: sbar 1 = leader; dip 1 = LRU leader, 2 = BIP
-     * leader; tournament owner + 1; 0 = follower */
-    const uint8_t *leaders;
+     * leader; tournament owner + 1; 0 = follower (an owned copy, so the
+     * EndState outlives the params dict) */
+    uint8_t *leaders;
     int64_t atd_assoc;
     Tags atd_lru, atd_lin; /* sbar uses atd_lru only */
     int64_t atd_seq, atd_accesses, atd_hits, atd_misses;
@@ -2389,7 +2393,75 @@ sim_free(Sim *s)
     free(s->cand_slot);
     free(s->t_scores);
     free(s->t_accesses);
+    free(s->leaders);
 }
+
+/* ---------------------------------------------------------------- */
+/* End state: the finished machine, emitted on demand                */
+/* ---------------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    Sim *sim;
+} EndState;
+
+static void
+endstate_dealloc(EndState *self)
+{
+    if (self->sim) {
+        sim_free(self->sim);
+        free(self->sim);
+    }
+    PyObject_Free(self);
+}
+
+/* The containers replay() leaves out of its counters dict.  Sparse
+ * ATDs (SBAR) come back as (set index, ways) pairs of leader sets. */
+static PyObject *
+endstate_emit(EndState *self, PyObject *Py_UNUSED(ignored))
+{
+    const Sim *s = self->sim;
+    PyObject *out = PyDict_New();
+    if (!out) {
+        return NULL;
+    }
+    if (out_obj(out, "l1d_sets", emit_tags(&s->l1d)) < 0 ||
+        out_obj(out, "l1i_sets", emit_tags(&s->l1i)) < 0 ||
+        out_obj(out, "l2_sets", emit_tags(&s->l2)) < 0 ||
+        out_obj(out, "l2_seen", emit_map(&s->l2_seen, 0)) < 0 ||
+        out_obj(out, "delta_last", emit_map(&s->delta_last, 2)) < 0 ||
+        out_obj(out, "ehc_last", emit_map(&s->ehc_last, 1)) < 0 ||
+        out_obj(out, "ehc_intervals",
+                emit_intervals(&s->ehc_intervals, &s->ehc_pool)) < 0 ||
+        out_obj(out, "awrp_counts", emit_map(&s->awrp_counts, 1)) < 0 ||
+        out_obj(out, "plru_bits", emit_plru(s)) < 0 ||
+        (s->controller_kind == CTRL_SBAR &&
+         out_obj(out, "atd_sets",
+                 emit_leader_tags(&s->atd_lru, s->leaders)) < 0) ||
+        (s->controller_kind == CTRL_CBS &&
+         (out_obj(out, "atd_sets", emit_tags(&s->atd_lru)) < 0 ||
+          out_obj(out, "atd2_sets", emit_tags(&s->atd_lin)) < 0))) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    return out;
+}
+
+static PyMethodDef endstate_methods[] = {
+    {"emit", (PyCFunction)endstate_emit, METH_NOARGS,
+     "The tag sets, seen set, policy side tables and ATDs, as lists."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject EndStateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._native.replaykernel.EndState",
+    .tp_basicsize = sizeof(EndState),
+    .tp_dealloc = (destructor)endstate_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The machine a native replay finished with.",
+    .tp_methods = endstate_methods,
+};
 
 /* ---------------------------------------------------------------- */
 /* Entry point                                                       */
@@ -2404,9 +2476,11 @@ replay(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    Sim sim;
-    Sim *s = &sim;
-    memset(s, 0, sizeof(Sim));
+    /* heap-allocated: on success the EndState takes ownership */
+    Sim *s = (Sim *)calloc(1, sizeof(Sim));
+    if (!s) {
+        return PyErr_NoMemory();
+    }
 
     P p = {params, 0};
     Py_buffer addr_buf = {0}, kind_buf = {0}, gap_buf = {0};
@@ -2418,7 +2492,7 @@ replay(PyObject *self, PyObject *args)
     PyObject *kinds_o = p_item(&p, "kinds");
     PyObject *gaps_o = p_item(&p, "gaps");
     if (p.err) {
-        return NULL;
+        goto fail;
     }
     if (PyObject_GetBuffer(addrs_o, &addr_buf, PyBUF_CONTIG_RO) < 0 ||
         PyObject_GetBuffer(kinds_o, &kind_buf, PyBUF_CONTIG_RO) < 0 ||
@@ -2688,8 +2762,12 @@ replay(PyObject *self, PyObject *args)
                     goto fail;
                 }
             }
-            /* borrowed: the params dict keeps it alive for the call */
-            s->leaders = (const uint8_t *)PyBytes_AS_STRING(lead);
+            s->leaders = (uint8_t *)malloc((size_t)l2_sets + 1);
+            if (!s->leaders) {
+                PyErr_NoMemory();
+                goto fail;
+            }
+            memcpy(s->leaders, bytes, (size_t)l2_sets);
         }
     }
 
@@ -2783,21 +2861,17 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "l1d_hits", s->l1d_hits) < 0 ||
         out_int(out, "l1d_misses", s->l1d_misses) < 0 ||
         out_int(out, "l1d_writebacks", s->l1d_writebacks) < 0 ||
-        out_obj(out, "l1d_sets", emit_tags(&s->l1d)) < 0 ||
         out_int(out, "l1i_seq", s->l1i_seq) < 0 ||
         out_int(out, "l1i_accesses", s->l1i_accesses) < 0 ||
         out_int(out, "l1i_hits", s->l1i_hits) < 0 ||
         out_int(out, "l1i_misses", s->l1i_misses) < 0 ||
         out_int(out, "l1i_writebacks", s->l1i_writebacks) < 0 ||
-        out_obj(out, "l1i_sets", emit_tags(&s->l1i)) < 0 ||
         out_int(out, "l2_seq", s->l2_seq) < 0 ||
         out_int(out, "l2_accesses", s->l2_accesses) < 0 ||
         out_int(out, "l2_hits", s->l2_hits) < 0 ||
         out_int(out, "l2_misses", s->l2_misses) < 0 ||
         out_int(out, "l2_writebacks", s->l2_writebacks) < 0 ||
         out_int(out, "l2_compulsory", s->l2_compulsory) < 0 ||
-        out_obj(out, "l2_sets", emit_tags(&s->l2)) < 0 ||
-        out_obj(out, "l2_seen", emit_map(&s->l2_seen, 0)) < 0 ||
         out_int(out, "demand_ctr", s->demand_ctr) < 0 ||
         out_int(out, "compulsory_ctr", s->compulsory_ctr) < 0 ||
         /* mshr */
@@ -2833,16 +2907,10 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "delta_below", s->delta_below) < 0 ||
         out_int(out, "delta_mid", s->delta_mid) < 0 ||
         out_int(out, "delta_high", s->delta_high) < 0 ||
-        out_obj(out, "delta_last", emit_map(&s->delta_last, 2)) < 0 ||
         /* policy */
         out_int(out, "ehc_pending", s->ehc_pending) < 0 ||
-        out_obj(out, "ehc_last", emit_map(&s->ehc_last, 1)) < 0 ||
-        out_obj(out, "ehc_intervals",
-                emit_intervals(&s->ehc_intervals, &s->ehc_pool)) < 0 ||
         out_int(out, "awrp_fills", s->awrp_fills) < 0 ||
-        out_obj(out, "awrp_counts", emit_map(&s->awrp_counts, 1)) < 0 ||
         out_obj(out, "slot_fills", emit_slot_fills(s)) < 0 ||
-        out_obj(out, "plru_bits", emit_plru(s)) < 0 ||
         out_obj(out, "t_scores", emit_dbl_array(s->t_scores, s->n_cands))
             < 0 ||
         out_obj(out, "t_accesses",
@@ -2867,28 +2935,29 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "follower_lru", s->follower_lru) < 0) {
         goto fail;
     }
-    if (s->controller_kind == CTRL_SBAR) {
-        if (out_obj(out, "atd_sets",
-                    emit_leader_tags(&s->atd_lru, s->leaders)) < 0) {
-            goto fail;
-        }
-    }
-    else if (s->controller_kind == CTRL_CBS) {
-        if (out_obj(out, "atd_sets", emit_tags(&s->atd_lru)) < 0 ||
-            out_obj(out, "atd2_sets", emit_tags(&s->atd_lin)) < 0) {
-            goto fail;
-        }
-    }
 
-    sim_free(s);
+    EndState *end = PyObject_New(EndState, &EndStateType);
+    if (!end) {
+        goto fail;
+    }
+    /* The EndState owns the machine from here on and keeps nothing the
+     * call lent it: the leaders bitmap is already a copy. */
+    s->addrs = NULL;
+    s->kinds = NULL;
+    s->gaps = NULL;
+    end->sim = s;
     PyBuffer_Release(&addr_buf);
     PyBuffer_Release(&kind_buf);
     PyBuffer_Release(&gap_buf);
-    return out;
+    PyObject *result = PyTuple_Pack(2, out, (PyObject *)end);
+    Py_DECREF(out);
+    Py_DECREF(end);
+    return result;
 
 fail:
     Py_XDECREF(out);
     sim_free(s);
+    free(s);
     if (bufs_ok) {
         PyBuffer_Release(&addr_buf);
         PyBuffer_Release(&kind_buf);
@@ -2911,7 +2980,7 @@ fail:
 static PyMethodDef replaykernel_methods[] = {
     {"replay", replay, METH_VARARGS,
      "Run the fused replay loop natively over packed trace columns.\n"
-     "Takes a flat params dict, returns the end-of-run state dict.\n"
+     "Takes a flat params dict, returns (counters dict, EndState).\n"
      "Bit-identical to the pure-python kernels by construction."},
     {NULL, NULL, 0, NULL},
 };
@@ -2931,5 +3000,8 @@ static struct PyModuleDef replaykernel_module = {
 PyMODINIT_FUNC
 PyInit_replaykernel(void)
 {
+    if (PyType_Ready(&EndStateType) < 0) {
+        return NULL;
+    }
     return PyModule_Create(&replaykernel_module);
 }

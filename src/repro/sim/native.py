@@ -1,4 +1,4 @@
-"""Native (C) replay kernel: gate, marshal, and write-back.
+"""Native (C) replay kernel: gate, marshal, write-back and deferred copy.
 
 The compiled extension (``repro._native.replaykernel``, built by the
 *optional* ``build_ext`` in setup.py) runs the whole batched replay
@@ -19,16 +19,29 @@ around it:
   drops the ladder one rung to batched and becomes the result's
   ``meta["kernel_fallback"]``.
 * :func:`replay` marshals the initial scalar state into a flat params
-  dict, invokes the kernel, and writes the returned end-of-run state
-  back into the live Python objects — leaving the Simulator
-  indistinguishable from one that ran the batched kernel, bit for bit.
+  dict, invokes the kernel, and writes back every counter and small
+  queue (window, store buffer, MSHR, memory, banks, cost distribution,
+  delta counters, PSELs, tournament scores, policy fill counters) —
+  everything ``Simulator._finalize`` and a :class:`SimResult` read.
+  The kernel's ``EndState`` object keeps the rest of the finished
+  machine in C and is stored on the Simulator as ``_native_end``.
+* :func:`restore` is the deferred copy.  After ``_finalize``,
+  ``Simulator.run`` parks ``l1d``, ``l1i``, ``l2``, ``controller`` and
+  ``delta``; the first read of any of them (``Simulator.__getattr__``)
+  calls this once to emit the L1/L2 tag sets, ``l2._seen``,
+  ``delta._last_cost``, the EHC/AWRP tables, the PLRU trees and the
+  SBAR/CBS ATD sets into the Python objects.  From then on the
+  Simulator is indistinguishable from one that ran the batched kernel,
+  bit for bit.  Suite, grid, service and bench paths drop the
+  Simulator unread, so they never pay for the copy.  Only reads
+  *through the Simulator* see the copied state: a reference to a
+  policy or controller taken before ``run`` sees its counters but not
+  its containers until the Simulator attribute is read once.
 
 The C kernel never sees a Python object graph: caches, the MSHR, heaps,
 ATDs, and policy side tables all start empty (a Simulator runs exactly
 one trace, so they are pristine at replay time — the gate verifies it)
-and come back as plain lists/tuples for reconstruction here.  The
-write-back mirrors the batched kernel's end-of-loop counter flush plus
-the containers batched mutates in place.
+and come back as plain lists/tuples for reconstruction here.
 """
 
 from __future__ import annotations
@@ -512,25 +525,9 @@ def _build_params(sim, trace):
 
 
 def _restore_sets(sets, payload):
-    """Rebuild every CacheSet's ways/index from the kernel's dump."""
-    for cache_set, entries in zip(sets, payload):
-        ways = []
-        index = {}
-        for block, fill_seq, next_use, cost_q, dirty in entries:
-            state = BlockState(block, fill_seq)
-            state.next_use = next_use
-            state.cost_q = cost_q
-            state.dirty = bool(dirty)
-            ways.append(state)
-            index[block] = state
-        cache_set.ways = ways
-        cache_set._index = index
-
-
-def _restore_atd(atd, payload_by_index):
-    """Rebuild a SparseTagDirectory's shadowed sets in place."""
-    for index, entries in payload_by_index:
-        cache_set = atd._sets[index]
+    """Rebuild each ``(index, ways)`` pair of the kernel's dump in place."""
+    for index, entries in payload:
+        cache_set = sets[index]
         ways = []
         block_index = {}
         for block, fill_seq, next_use, cost_q, dirty in entries:
@@ -544,8 +541,51 @@ def _restore_atd(atd, payload_by_index):
         cache_set._index = block_index
 
 
+def restore(sim, end_state) -> None:
+    """Copy the containers a native run left in C into the Python objects.
+
+    Called once, by ``Simulator.__getattr__``, after the parked
+    attributes are back in place; counters were written eagerly by
+    :func:`_write_back`.
+    """
+    out = end_state.emit()
+    l2 = sim.l2
+    for cache, prefix in ((sim.l1d, "l1d"), (sim.l1i, "l1i"), (l2, "l2")):
+        _restore_sets(cache._sets, enumerate(out[prefix + "_sets"]))
+    if l2._seen is not None:
+        l2._seen.update(out["l2_seen"])
+    if sim.delta is not None:
+        sim.delta._last_cost.update(out["delta_last"])
+
+    controller = sim.controller
+    policy = l2.policy
+    if controller is None:
+        kind = _policy_kind(policy)
+        if kind == _POL_EHC:
+            policy._last_seen.update(out["ehc_last"])
+            horizon = policy.horizon
+            intervals = policy._intervals
+            for block, values in out["ehc_intervals"]:
+                intervals[block] = deque(values, maxlen=horizon)
+        elif kind == _POL_AWRP:
+            policy._counts.update(out["awrp_counts"])
+        elif kind in (_POL_PLRU, _POL_COST_PLRU):
+            # Trees are keyed by CacheSet identity, built on first touch.
+            sets = l2._sets
+            n_ways = l2.geometry.associativity
+            for index, bits in out["plru_bits"]:
+                tree = _TreeState(n_ways)
+                tree.bits = bits
+                policy._trees[id(sets[index])] = tree
+    elif type(controller) is SBARController:
+        _restore_sets(controller.atd_lru._sets, out["atd_sets"])
+    elif type(controller) is CBSController:
+        _restore_sets(controller.atd_lru._sets, enumerate(out["atd_sets"]))
+        _restore_sets(controller.atd_lin._sets, enumerate(out["atd2_sets"]))
+
+
 def _write_back(sim, out):
-    """Mirror the batched kernel's end-of-loop flush, plus containers."""
+    """Mirror the batched kernel's end-of-loop counter flush."""
     window = sim.window
     window._index = out["win_index"]
     window._time = out["win_time"]
@@ -563,15 +603,12 @@ def _write_back(sim, out):
 
     for cache, prefix in ((sim.l1d, "l1d"), (sim.l1i, "l1i"),
                           (sim.l2, "l2")):
-        _restore_sets(cache._sets, out[prefix + "_sets"])
         cache._seq = out[prefix + "_seq"]
         cache.accesses = out[prefix + "_accesses"]
         cache.hits = out[prefix + "_hits"]
         cache.misses = out[prefix + "_misses"]
         cache.writebacks = out[prefix + "_writebacks"]
     sim.l2.compulsory_misses = out["l2_compulsory"]
-    if sim.l2._seen is not None:
-        sim.l2._seen.update(out["l2_seen"])
     sim.demand_misses = out["demand_ctr"]
     sim.compulsory_misses = out["compulsory_ctr"]
 
@@ -610,7 +647,6 @@ def _write_back(sim, out):
         delta._below_60 = out["delta_below"]
         delta._60_to_119 = out["delta_mid"]
         delta._120_plus = out["delta_high"]
-        delta._last_cost.update(out["delta_last"])
 
     controller = sim.controller
     policy = sim.l2.policy
@@ -618,24 +654,10 @@ def _write_back(sim, out):
         kind = _policy_kind(policy)
         if kind == _POL_EHC:
             policy._pending_next_use = out["ehc_pending"]
-            policy._last_seen.update(out["ehc_last"])
-            horizon = policy.horizon
-            intervals = policy._intervals
-            for block, values in out["ehc_intervals"]:
-                intervals[block] = deque(values, maxlen=horizon)
         elif kind == _POL_AWRP:
-            policy._counts.update(out["awrp_counts"])
             policy._fills = out["awrp_fills"]
         elif kind == _POL_BIP:
             policy._fills = out["slot_fills"][0]
-        elif kind in (_POL_PLRU, _POL_COST_PLRU):
-            # Trees are keyed by CacheSet identity, built on first touch.
-            sets = sim.l2._sets
-            n_ways = sim.l2.geometry.associativity
-            for index, bits in out["plru_bits"]:
-                tree = _TreeState(n_ways)
-                tree.bits = bits
-                policy._trees[id(sets[index])] = tree
     elif type(controller) is DIPController:
         psel = controller.psel
         psel.value = out["psel_values"][0]
@@ -656,7 +678,6 @@ def _write_back(sim, out):
         atd.accesses = out["atd_accesses"]
         atd.hits = out["atd_hits"]
         atd.misses = out["atd_misses"]
-        _restore_atd(atd, out["atd_sets"])
         psel = controller.psel
         psel.value = out["psel_values"][0]
         psel.increments = out["psel_incs"][0]
@@ -670,13 +691,11 @@ def _write_back(sim, out):
         atd_lru.accesses = out["atd_accesses"]
         atd_lru.hits = out["atd_hits"]
         atd_lru.misses = out["atd_misses"]
-        _restore_atd(atd_lru, enumerate(out["atd_sets"]))
         atd_lin = controller.atd_lin
         atd_lin._seq = out["atd2_seq"]
         atd_lin.accesses = out["atd2_accesses"]
         atd_lin.hits = out["atd2_hits"]
         atd_lin.misses = out["atd2_misses"]
-        _restore_atd(atd_lin, enumerate(out["atd2_sets"]))
         for psel, value, incs, decs in zip(
             controller._psels,
             out["psel_values"],
@@ -692,11 +711,12 @@ def _write_back(sim, out):
 def replay(sim, trace) -> None:
     """Run the trace through the C kernel.
 
-    Leaves the Simulator holding the complete end-of-run state.  Called
-    only from ``Simulator._replay`` once the batched gate and
+    Leaves the Simulator holding every end-of-run counter, plus the
+    kernel's ``EndState`` as ``sim._native_end`` for :func:`restore`.
+    Called only from ``Simulator._replay`` once the batched gate and
     :func:`gate_failure` both hold.
     """
-    out = load_extension().replay(_build_params(sim, trace))
+    out, end_state = load_extension().replay(_build_params(sim, trace))
     # The drain leaves nothing in flight by construction; a nonzero
     # count would mean the C machine diverged, which must never be
     # written back silently.
@@ -706,6 +726,7 @@ def replay(sim, trace) -> None:
             % out["m_in_flight_n"]
         )
     _write_back(sim, out)
+    sim._native_end = end_state
     sim.fused_replay = True
     sim.batched_replay = False
     sim.native_replay = True

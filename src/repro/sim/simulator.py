@@ -53,6 +53,10 @@ from repro.trace.record import IFETCH, STORE
 #: Valid ``Simulator(kernel=...)`` selections, fastest first.
 REPLAY_KERNELS = ("auto", "native", "batched", "fused", "generic")
 
+#: The attributes whose objects hold what a native run leaves in C (tag
+#: sets, ``_seen``, ``_last_cost``, policy side tables, ATDs).
+_NATIVE_PARKED = ("l1d", "l1i", "l2", "controller", "delta")
+
 #: Things accepted as the L2 replacement specification.
 PolicyLike = Union[
     ReplacementPolicy,
@@ -228,21 +232,52 @@ class Simulator:
     # -- main loop --------------------------------------------------------
 
     def run(self, trace) -> SimResult:
-        """Simulate ``trace`` (a sequence of :class:`Access`) to completion."""
+        """Simulate ``trace`` (a sequence of :class:`Access`) to completion.
+
+        After a native run the tag sets and side tables stay in the C
+        kernel; the first read of ``l1d``, ``l1i``, ``l2``,
+        ``controller`` or ``delta`` copies them in (see
+        :mod:`repro.sim.native`).
+        """
         if self._ran:
             raise RuntimeError("a Simulator instance runs exactly one trace")
         self._ran = True
         profiler = self._obs.profiler if self._obs is not None else None
         if profiler is None:
-            return self._finalize(self._replay(trace))
-        # The replay span must close before _finalize folds the
-        # profiler into the session totals, or it would be lost.
-        replay_start = perf_counter()
-        try:
             current_phase = self._replay(trace)
-        finally:
-            profiler.add("sim.replay", perf_counter() - replay_start)
-        return self._finalize(current_phase)
+        else:
+            # The replay span must close before _finalize folds the
+            # profiler into the session totals, or it would be lost.
+            replay_start = perf_counter()
+            try:
+                current_phase = self._replay(trace)
+            finally:
+                profiler.add("sim.replay", perf_counter() - replay_start)
+        result = self._finalize(current_phase)
+        if self.native_replay:
+            # The C kernel still holds the tag sets and side tables:
+            # park the objects that own them until something reads one.
+            self._parked = {
+                name: self.__dict__.pop(name) for name in _NATIVE_PARKED
+            }
+        return result
+
+    def __getattr__(self, name):
+        # Python calls this only for attributes the instance lacks, so
+        # the replay loops' plain reads never get here.  After a native
+        # run, the first read of a parked attribute puts all five back
+        # and copies the kernel's end state into them, once.
+        parked = self.__dict__.get("_parked")
+        if parked is None or name not in parked:
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        del self._parked
+        self.__dict__.update(parked)
+        from repro.sim import native as _native
+
+        _native.restore(self, self.__dict__.pop("_native_end"))
+        return parked[name]
 
     def _replay(self, trace) -> Optional[PhaseSample]:
         """Drive every access through the machine; returns the open phase.

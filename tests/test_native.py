@@ -21,6 +21,8 @@ matter:
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.cache.replacement import LRUPolicy
@@ -32,6 +34,9 @@ from repro.cache.replacement.registry import (
 from repro.sim import RunOptions, native
 from repro.sim.runner import cache_stats, clear_cache, run_policy
 from repro.sim.simulator import Simulator
+from repro.sim.store import ResultStore, result_digest
+from repro.trace.packed import PackedTrace
+from repro.trace.record import IFETCH, Access
 from repro.workloads import build_workload, experiment_config
 
 from tests.test_fastpath import controller_fingerprint, policy_fingerprint
@@ -58,11 +63,66 @@ WORKLOADS = (
 )
 
 
+def _with_ifetches(spec, scale=0.05):
+    """``spec``'s trace with every fifth record an instruction fetch.
+
+    The surrogates issue no fetches, so without this the L1I end state
+    would be empty under every kernel and compare equal vacuously.
+    """
+    return PackedTrace.from_accesses([
+        Access(access.address, IFETCH if index % 5 == 0 else access.kind,
+               access.gap)
+        for index, access in enumerate(
+            build_workload(spec, scale=scale).to_accesses()
+        )
+    ])
+
+
+def _ways(cache_set):
+    """A set's tag contents in way order (MRU first)."""
+    return [
+        (way.block, way.fill_seq, way.next_use, way.cost_q, way.dirty)
+        for way in cache_set.ways
+    ]
+
+
 def _state(sim):
-    """The policy and controller end state a kernel leaves behind."""
-    state = {"policy": policy_fingerprint(sim.l2)}
-    if sim.controller is not None:
-        state["controller"] = controller_fingerprint(sim.controller)
+    """The whole machine a kernel leaves behind.
+
+    Tag stores, side tables and queues as well as counters: a native
+    run leaves these in C until the first read, so this is what pins
+    the deferred copy down.  Heaps compare sorted (any valid heap pops
+    the same sequence).
+    """
+    l2 = sim.l2
+    policy = l2.policy
+    delta = sim.delta
+    state = {
+        "policy": policy_fingerprint(l2),
+        "l1d": [_ways(cache_set) for cache_set in sim.l1d._sets],
+        "l1i": [_ways(cache_set) for cache_set in sim.l1i._sets],
+        "l2": [_ways(cache_set) for cache_set in l2._sets],
+        "l2_seen": l2._seen,
+        "delta_last": None if delta is None else dict(delta._last_cost),
+        "ehc_last_seen": getattr(policy, "_last_seen", None),
+        "ehc_intervals": {
+            block: list(values)
+            for block, values in getattr(policy, "_intervals", {}).items()
+        },
+        "awrp_counts": getattr(policy, "_counts", None),
+        "window": list(sim.window._pending),
+        "store_buffer": sorted(sim.store_buffer._completions),
+        "memory": sorted(sim.memory._in_flight),
+    }
+    controller = sim.controller
+    if controller is not None:
+        state["controller"] = controller_fingerprint(controller)
+        for name in ("atd_lru", "atd_lin"):
+            atd = getattr(controller, name, None)
+            if atd is not None:
+                state[name] = {
+                    index: _ways(atd._sets[index]) for index in atd._sets
+                }
     return state
 
 
@@ -84,6 +144,16 @@ class TestNativeDifferential:
         for kernel in ("batched", "fused", "generic"):
             assert runs["native"] == runs[kernel], (policy, kernel)
             assert states["native"] == states[kernel], (policy, kernel)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_native_matches_generic_with_ifetches(self, policy):
+        trace = _with_ifetches("mcf")
+        states = []
+        for kernel in ("native", "generic"):
+            sim = Simulator(experiment_config(), policy, kernel=kernel)
+            states.append((sim.run(trace).to_dict(), _state(sim)))
+        assert sim.l1i.accesses > 0
+        assert states[0] == states[1], policy
 
     @pytest.mark.skipif(not HAVE_NATIVE, reason=NO_NATIVE_REASON)
     def test_native_really_runs(self):
@@ -124,6 +194,92 @@ class TestNativeDifferential:
         plru = Simulator(experiment_config(), "cost-plru")
         plru.run(trace)
         assert policy_fingerprint(plru.l2)["trees"]
+
+
+#: The Simulator attributes a native run parks until their first read.
+PARKED = ("l1d", "l1i", "l2", "controller", "delta")
+
+
+@pytest.mark.skipif(not HAVE_NATIVE, reason=NO_NATIVE_REASON)
+class TestDeferredEndState:
+    """A native run keeps its end state in C until something reads it."""
+
+    @staticmethod
+    def _pair(policy="sbar"):
+        trace = _with_ifetches("mcf")
+        native_sim = Simulator(experiment_config(), policy, kernel="native")
+        native_result = native_sim.run(trace)
+        assert native_sim.replay_kernel == "native"
+        generic_sim = Simulator(experiment_config(), policy, kernel="generic")
+        generic_result = generic_sim.run(trace)
+        return native_sim, native_result, generic_sim, generic_result
+
+    def test_result_digest_and_payload_match_generic(self, tmp_path):
+        _, native_result, _, generic_result = self._pair()
+        assert native_result.to_dict() == generic_result.to_dict()
+        assert (result_digest(native_result.to_dict())
+                == result_digest(generic_result.to_dict()))
+        store = ResultStore(tmp_path)
+        store.save("native", native_result)
+        store.save("generic", generic_result)
+        assert store.load_payload("native") == store.load_payload("generic")
+
+    def test_result_pickles_without_end_state(self):
+        native_sim, native_result, _, generic_result = self._pair()
+        # The end state cannot be pickled at all, so a result that
+        # reached it would fail here; pool workers ship results.
+        with pytest.raises(TypeError):
+            pickle.dumps(vars(native_sim)["_native_end"])
+        clone = pickle.loads(pickle.dumps(native_result))
+        assert clone.to_dict() == generic_result.to_dict()
+        assert "_native_end" in vars(native_sim)  # nothing read it yet
+
+    @pytest.mark.parametrize("policy", ("sbar", "cbs-global", "ehc(4)",
+                                        "awrp(8)", "cost-plru"))
+    @pytest.mark.parametrize("first", PARKED)
+    def test_first_read_copies_once(self, monkeypatch, first, policy):
+        calls = []
+        restore = native.restore
+
+        def counting(sim, end_state):
+            calls.append(end_state)
+            restore(sim, end_state)
+
+        monkeypatch.setattr(native, "restore", counting)
+        native_sim, _, generic_sim, _ = self._pair(policy)
+        assert not any(name in vars(native_sim) for name in PARKED)
+        getattr(native_sim, first)
+        assert len(calls) == 1
+        assert all(name in vars(native_sim) for name in PARKED)
+        assert "_native_end" not in vars(native_sim)
+        assert _state(native_sim) == _state(generic_sim)
+        for name in PARKED:
+            getattr(native_sim, name)
+        assert len(calls) == 1
+
+    def test_unknown_attribute_still_raises(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(native, "restore",
+                            lambda *args: calls.append(args))
+        sim = Simulator(experiment_config(), "lru", kernel="native")
+        with pytest.raises(AttributeError, match="no_such_thing"):
+            sim.no_such_thing
+        sim.run(build_workload("mcf", scale=0.02))
+        assert "_parked" in vars(sim)
+        with pytest.raises(AttributeError, match="no_such_thing"):
+            sim.no_such_thing
+        assert not hasattr(sim, "_no_such_private")
+        # Neither miss copied the parked state in.
+        assert calls == [] and "_parked" in vars(sim)
+
+    @pytest.mark.parametrize("kernel", ("batched", "fused", "generic"))
+    def test_other_kernels_hold_no_end_state(self, kernel):
+        sim = Simulator(experiment_config(), "sbar", kernel=kernel)
+        sim.run(build_workload("mcf", scale=0.05))
+        assert sim.replay_kernel == kernel
+        assert "_native_end" not in vars(sim)
+        assert "_parked" not in vars(sim)
+        assert all(name in vars(sim) for name in PARKED)
 
 
 class TestLadderDegradation:
